@@ -12,7 +12,7 @@ import sys
 from dataclasses import dataclass, field
 
 from . import geography
-from .errors import M4CalcError, ScriptError
+from .errors import BadArgument, M4CalcError, ScriptError
 from .knots import KnotDescriptor, alexander
 from .manifold import KNOWN, ManifoldModel, exotic_verdict, validate
 from .surgery import (
@@ -164,6 +164,13 @@ def _knot_from_args(args: dict) -> KnotDescriptor:
     return KnotDescriptor.from_seifert(args["seifert"], args.get("fibered", False))
 
 
+def _int(args: dict, key: str, default=None) -> int:
+    try:
+        return int(args.get(key, default))
+    except (TypeError, ValueError) as exc:
+        raise BadArgument(f"{key} must be an integer, got {args.get(key)!r}") from exc
+
+
 def _execute_step(step: Step, env: dict[str, ManifoldModel]) -> ManifoldModel:
     a = step.args
     if step.op == "seed":
@@ -171,18 +178,18 @@ def _execute_step(step: Step, env: dict[str, ManifoldModel]) -> ManifoldModel:
     if step.op == "blowup":
         return blowup(env[a["on"]])
     if step.op == "log_transform":
-        return log_transform(env[a["on"]], a["T"], int(a["p"]))
+        return log_transform(env[a["on"]], a["T"], _int(a, "p"))
     if step.op == "knot_surgery":
         return knot_surgery(env[a["on"]], a["T"], _knot_from_args(a))
     if step.op == "rational_blowdown":
-        return rational_blowdown(env[a["on"]], list(a["classes"]), int(a["p"]))
+        return rational_blowdown(env[a["on"]], list(a["classes"]), _int(a, "p"))
     if step.op == "fiber_sum":
         n1, n2 = a["on"]
         x1, x2 = env[n1], env[n2]
         t1_name, t2_name = a.get("classes", ["fiber", "fiber"])
         return fiber_sum(
             x1, x1.torus(t1_name).cls, x2, x2.torus(t2_name).cls,
-            int(a["genus"]), t_out=int(a.get("t", 1)),
+            _int(a, "genus"), t_out=_int(a, "t", 1),
             spin_glue=bool(a.get("spin_glue", False)),
         )
     raise AssertionError(f"unreachable op {step.op}")
@@ -361,11 +368,11 @@ def model_from_json(data: dict) -> ManifoldModel:
     from .swring import SWPolynomial
 
     lattice = IntersectionLattice.from_json(data["lattice"])
-    sw_field = data["sw"]
+    sw_field, override = data["sw"], data.get("parity_override")
     if isinstance(sw_field, dict) and "known" in sw_field:
         sw = SWPolynomial.from_json(lattice, sw_field["known"])
-        return ManifoldModel.build(lattice, sw_status=KNOWN, sw=sw)
-    return ManifoldModel.build(lattice, sw_status=str(sw_field))
+        return ManifoldModel.build(lattice, sw_status=KNOWN, sw=sw, parity_override=override)
+    return ManifoldModel.build(lattice, sw_status=str(sw_field), parity_override=override)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -65,6 +65,18 @@ class OddDimension(M4CalcError):
     pass
 
 
+class BadArgument(M4CalcError, ValueError):
+    pass
+
+
+class UnknownTorus(M4CalcError, KeyError):
+    __str__ = Exception.__str__  # KeyError would print the message's repr
+
+
+class BookkeepingError(M4CalcError):
+    """Incremental (e, sigma, t) bookkeeping disagrees with the recomputation."""
+
+
 class ScriptError(M4CalcError):
     """Raised for construction-script problems; carries positioned diagnostics."""
 

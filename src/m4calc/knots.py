@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import NotAKnot, NotFibered
+from .lattice import bareiss
 
 UTerms = dict[int, int]  # u-exponent -> coefficient
 
@@ -179,41 +180,24 @@ class KnotDescriptor:
         return KnotDescriptor.from_seifert(data["seifert"], data.get("fibered", False))
 
 
-def _laurent_det(m: list[list[UTerms]]) -> UTerms:
-    """Determinant over Z[u, u^-1] by cofactor expansion."""
-    n = len(m)
-    if n == 0:
-        return {0: 1}
-    if n == 1:
-        return dict(m[0][0])
-    out: UTerms = {}
-    for j in range(n):
-        entry = m[0][j]
-        if not entry:
-            continue
-        minor = [[m[r][c] for c in range(n) if c != j] for r in range(1, n)]
-        term = _mul(entry, _laurent_det(minor))
-        if j % 2:
-            term = _neg(term)
-        out = _add(out, term)
-    return out
+def _laurent_det(rows: list[dict[int, UTerms]]) -> UTerms:
+    """Determinant over Z[u, u^-1] of sparse rows {column: entry}, by
+    fraction-free (Bareiss) elimination."""
+    ring = (_mul, lambda a, b: _add(a, _neg(b)), _divexact, {0: 1})
+    pivots = bareiss(rows, range(len(rows)), ring=ring)
+    if len(pivots) < len(rows):
+        return {}
+    order = [r for r, _, _ in pivots]
+    swaps = sum(a > b for i, a in enumerate(order) for b in order[i + 1:])
+    det = pivots[-1][2] if pivots else {0: 1}
+    return _neg(det) if swaps % 2 else det
 
 
 def _seifert_alexander(matrix: tuple[tuple[int, ...], ...]) -> AlexanderPolynomial:
-    n = len(matrix)
-    m = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            terms: UTerms = {}
-            if matrix[i][j]:
-                terms[1] = matrix[i][j]
-            if matrix[j][i]:
-                terms[-1] = terms.get(-1, 0) - matrix[j][i]
-            row.append(_clean(terms))
-        m.append(row)
-    det = _laurent_det(m)
-    poly = AlexanderPolynomial(det)
+    idx = range(len(matrix))  # u V - u^-1 V^T as sparse Laurent rows
+    rows = [{j: e for j in idx if (e := _clean({1: matrix[i][j], -1: -matrix[j][i]}))}
+            for i in idx]
+    poly = AlexanderPolynomial(_laurent_det(rows))
     val = poly.evaluate_at_one()
     if val not in (1, -1):
         raise NotAKnot(f"det(V - V^T) evaluates to {val}, not a unit")

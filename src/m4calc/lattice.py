@@ -2,22 +2,21 @@
 
 Everything here is pure and immutable: a lattice is a labelled symmetric
 integer Gram matrix, vectors are rational coordinate tuples over its basis.
-No floating point enters any computation.
+A lattice caches what it derives from its Gram matrix: sparse integer rows
+and one elimination pass.  No floating point enters any computation.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Sequence
 
-from .errors import (
-    DegenerateComplement,
-    DegenerateForm,
-    DependentVectors,
-    NonIntegralVector,
-)
+from .errors import DegenerateForm, DependentVectors, NonIntegralVector
 
 Rational = Fraction
 _JSON_INT_LIMIT = 2**53
@@ -50,12 +49,10 @@ class IntersectionLattice:
             raise ValueError("label count does not match rank")
         if len(set(labels)) != n:
             raise ValueError("labels must be unique")
-        for i, row in enumerate(gram):
-            if len(row) != n:
-                raise ValueError("gram matrix must be square")
-            for j in range(n):
-                if gram[i][j] != gram[j][i]:
-                    raise ValueError("gram matrix must be symmetric")
+        if any(len(row) != n for row in gram):
+            raise ValueError("gram matrix must be square")
+        if any(row != col for row, col in zip(gram, zip(*gram))):
+            raise ValueError("gram matrix must be symmetric")
 
     @property
     def rank(self) -> int:
@@ -75,39 +72,52 @@ class IntersectionLattice:
             coords[self.labels.index(name)] = _frac(value)
         return LatticeVector(tuple(coords))
 
+    @cached_property
+    def rows(self) -> tuple[dict[int, int], ...]:
+        """The Gram matrix as sparse rows {column: nonzero entry}."""
+        return tuple({j: x for j, x in enumerate(row) if x} for row in self.gram)
+
+    def image(self, ints: Sequence[int]) -> dict[int, int]:
+        """G x for an integer coordinate vector x, as a sparse row."""
+        out: dict[int, int] = {}
+        for i, x in enumerate(ints):
+            if x:
+                for j, g in self.rows[i].items():
+                    out[j] = out.get(j, 0) + x * g
+        return out
+
     def pairing(self, u: "LatticeVector", v: "LatticeVector") -> Fraction:
         if len(u.coords) != self.rank or len(v.coords) != self.rank:
             raise ValueError("vector length does not match lattice rank")
-        total = Fraction(0)
-        for i, ui in enumerate(u.coords):
-            if ui == 0:
-                continue
-            row = self.gram[i]
-            for j, vj in enumerate(v.coords):
-                if vj != 0 and row[j] != 0:
-                    total += ui * vj * row[j]
-        return total
+        (a, da), (b, db) = u.scaled(), v.scaled()
+        return Fraction(sum(g * b[j] for j, g in self.image(a).items()), da * db)
 
     def square(self, v: "LatticeVector") -> Fraction:
         return self.pairing(v, v)
 
+    @cached_property
+    def _form(self) -> tuple[int, tuple[int, int] | None]:
+        """(determinant, (b_plus, b_minus)) from one symmetric Bareiss pass;
+        the signature is None when the form is degenerate.  The k-th pivot
+        is a k x k principal minor, so the k-th LDL^T diagonal entry, the
+        ratio of consecutive pivots, is positive iff they share a sign."""
+        pivots = bareiss([dict(r) for r in self.rows], symmetric=True)
+        if len(pivots) < self.rank:
+            return 0, None
+        det, plus = 1, 0
+        for _, _, p in pivots:
+            plus += (p > 0) == (det > 0)
+            det = p
+        return det, (plus, self.rank - plus)
+
     def determinant(self) -> int:
-        det = _det_rational([[Fraction(x) for x in row] for row in self.gram])
-        assert det.denominator == 1
-        return det.numerator
+        return self._form[0]
 
     def direct_sum(self, other: "IntersectionLattice") -> "IntersectionLattice":
         n, m = self.rank, other.rank
-        gram = [[0] * (n + m) for _ in range(n + m)]
-        for i in range(n):
-            for j in range(n):
-                gram[i][j] = self.gram[i][j]
-        for i in range(m):
-            for j in range(m):
-                gram[n + i][n + j] = other.gram[i][j]
-        return IntersectionLattice(
-            tuple(tuple(row) for row in gram), self.labels + other.labels
-        )
+        gram = (tuple(row + (0,) * m for row in self.gram)
+                + tuple((0,) * n + row for row in other.gram))
+        return IntersectionLattice(gram, self.labels + other.labels)
 
     def to_json(self) -> dict:
         def enc(x: int):
@@ -162,73 +172,90 @@ class LatticeVector:
             raise NonIntegralVector(f"vector {self.coords} is not integral")
         return tuple(c.numerator for c in self.coords)
 
+    def scaled(self) -> tuple[list[int], int]:
+        """(integer coordinates, d) with self = coordinates / d, d minimal."""
+        d = math.lcm(*(c.denominator for c in self.coords))
+        return [c.numerator * (d // c.denominator) for c in self.coords], d
+
 
 # ---------------------------------------------------------------------------
-# exact rational linear algebra
+# exact linear algebra
 
 
-def _det_rational(m: list[list[Fraction]]) -> Fraction:
-    n = len(m)
-    m = [row[:] for row in m]
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = 1 / m[col][col]
-        for r in range(col + 1, n):
-            if m[r][col] != 0:
-                f = m[r][col] * inv
-                for c in range(col, n):
-                    m[r][c] -= f * m[col][c]
-    return det
+def bareiss(rows: list[dict], cols: Iterable[int] = (), symmetric: bool = False,
+            jordan: bool = False,
+            ring=(operator.mul, operator.sub, operator.floordiv, 1)) -> list[tuple]:
+    """Fraction-free elimination (Bareiss 1968) over an exact ring.
+
+    `rows` are sparse rows {column: nonzero entry}, reduced in place; `ring`
+    is (mul, sub, exact div, one), with a falsy zero.  Pivot columns come
+    from `cols` in order, each in the first unused row with an entry there.
+    With `symmetric` the rows are a symmetric integer form and pivots sit on
+    the diagonal; a zero diagonal is fixed by the congruence e_i -= e_j.
+    With `jordan` pivot columns are cleared from used rows too, and every
+    row ends scaled to the last pivot.  Returns the pivots (row, column,
+    value); the k-th value is the minor on the first k pivot rows and
+    columns, so every division is exact.
+    """
+    mul, sub, div, one = ring
+    zero = sub(one, one)
+    level, prev, pivots = [one] * len(rows), one, []
+    live = dict.fromkeys(range(len(rows)))
+    cols = iter(cols)
+
+    def lift(i):  # a row a step leaves alone is scaled when next read
+        if level[i] != prev:
+            rows[i] = {j: div(mul(e, prev), level[i]) for j, e in rows[i].items()}
+            level[i] = prev
+
+    while live:
+        if symmetric:
+            r = c = next((i for i in live if i in rows[i]), None)
+            if r is None:
+                i, j = next(((i, j) for i in live for j in rows[i]), (None, None))
+                if i is None:
+                    break
+                lift(i), lift(j)
+                rows[i] = {k: v for k in rows[i].keys() | rows[j].keys()
+                           if (v := sub(rows[i].get(k, zero), rows[j].get(k, zero)))}
+                for row in rows:
+                    if j in row:
+                        row[i] = sub(row.get(i, zero), row[j])
+                        if not row[i]:
+                            del row[i]
+                continue
+        else:
+            c = next(cols, None)
+            if c is None:
+                break
+            r = next((i for i in live if c in rows[i]), None)
+            if r is None:
+                continue
+        lift(r)
+        prow, piv = rows[r], rows[r][c]
+        for i in range(len(rows)) if jordan else live:
+            if i != r and c in rows[i]:
+                lift(i)
+                row, b = rows[i], rows[i][c]
+                rows[i] = {j: v for j in row.keys() | prow.keys()
+                           if (v := div(sub(mul(piv, row.get(j, zero)),
+                                            mul(b, prow.get(j, zero))), prev))}
+                level[i] = piv
+        level[r], prev = piv, piv
+        del live[r]
+        pivots.append((r, c, piv))
+    if jordan:
+        for i in range(len(rows)):
+            lift(i)
+    return pivots
 
 
 def signature(lattice: IntersectionLattice) -> tuple[int, int]:
-    """(b_plus, b_minus) by recursive symmetric diagonalization over Q."""
-    n = lattice.rank
-    m = [[Fraction(x) for x in row] for row in lattice.gram]
-    b_plus = b_minus = 0
-    live = list(range(n))
-    while live:
-        pivot = next((i for i in live if m[i][i] != 0), None)
-        if pivot is None:
-            # all remaining diagonal entries vanish; create one via e_i += e_j
-            pair = None
-            for i in live:
-                for j in live:
-                    if i != j and m[i][j] != 0:
-                        pair = (i, j)
-                        break
-                if pair:
-                    break
-            if pair is None:
-                raise DegenerateForm("form is degenerate (zero block)")
-            i, j = pair
-            for k in range(n):
-                m[i][k] += m[j][k]
-            for k in range(n):
-                m[k][i] += m[k][j]
-            pivot = i
-        d = m[pivot][pivot]
-        if d > 0:
-            b_plus += 1
-        else:
-            b_minus += 1
-        live.remove(pivot)
-        inv = 1 / d
-        others = [j for j in live if m[pivot][j] != 0]
-        for j in others:
-            f = m[pivot][j] * inv
-            for k in range(n):
-                m[j][k] -= f * m[pivot][k]
-            for k in range(n):
-                m[k][j] -= f * m[k][pivot]
-    return b_plus, b_minus
+    """(b_plus, b_minus), read from the lattice's one elimination pass."""
+    sig = lattice._form[1]
+    if sig is None:
+        raise DegenerateForm("form is degenerate (zero block)")
+    return sig
 
 
 def parity(lattice: IntersectionLattice) -> int:
@@ -238,12 +265,9 @@ def parity(lattice: IntersectionLattice) -> int:
 
 def is_characteristic(lattice: IntersectionLattice, k: LatticeVector) -> bool:
     """k.x == x.x mod 2 for every basis vector x."""
-    ints = k.int_coords()
-    for i in range(lattice.rank):
-        dot = sum(ints[j] * lattice.gram[i][j] for j in range(lattice.rank))
-        if (dot - lattice.gram[i][i]) % 2 != 0:
-            return False
-    return True
+    image = lattice.image(k.int_coords())
+    return all((image.get(i, 0) - row.get(i, 0)) % 2 == 0
+               for i, row in enumerate(lattice.rows))
 
 
 def formal_dimension(lattice: IntersectionLattice, k: LatticeVector, c: int) -> Fraction:
@@ -321,31 +345,6 @@ def _smith_kernel(a: list[list[int]], ncols: int) -> list[list[int]]:
     return [[v[r][c] for r in range(ncols)] for c in zero_cols]
 
 
-def _rational_rank(vectors: Sequence[LatticeVector]) -> int:
-    if not vectors:
-        return 0
-    m = [list(v.coords) for v in vectors]
-    rank = 0
-    cols = len(m[0])
-    row = 0
-    for col in range(cols):
-        pivot = next((r for r in range(row, len(m)) if m[r][col] != 0), None)
-        if pivot is None:
-            continue
-        m[row], m[pivot] = m[pivot], m[row]
-        inv = 1 / m[row][col]
-        for r in range(len(m)):
-            if r != row and m[r][col] != 0:
-                f = m[r][col] * inv
-                for c in range(cols):
-                    m[r][c] -= f * m[row][c]
-        row += 1
-        rank += 1
-        if row == len(m):
-            break
-    return rank
-
-
 def orthogonal_complement(
     lattice: IntersectionLattice, vs: Sequence[LatticeVector]
 ) -> tuple[IntersectionLattice, tuple[LatticeVector, ...]]:
@@ -358,58 +357,43 @@ def orthogonal_complement(
     for v in vs:
         if not v.is_integral:
             raise NonIntegralVector("complement input vectors must be integral")
-    if _rational_rank(vs) != len(vs):
+    ints = [v.int_coords() for v in vs]
+    if len(bareiss([{j: x for j, x in enumerate(v) if x} for v in ints], range(n))) != len(vs):
         raise DependentVectors("input vectors are linearly dependent")
-    rows = []
-    for v in vs:
-        ints = v.int_coords()
-        rows.append([sum(ints[i] * lattice.gram[i][j] for i in range(n)) for j in range(n)])
-    if not rows:
+    if not vs:
         basis_cols = [[1 if i == j else 0 for i in range(n)] for j in range(n)]
     else:
-        basis_cols = _smith_kernel(rows, n)
+        images = [lattice.image(v) for v in ints]
+        basis_cols = _smith_kernel([[g.get(j, 0) for j in range(n)] for g in images], n)
     basis = tuple(LatticeVector(tuple(Fraction(x) for x in col)) for col in basis_cols)
-    k = len(basis)
-    gram = [[0] * k for _ in range(k)]
-    for i in range(k):
-        for j in range(k):
-            val = lattice.pairing(basis[i], basis[j])
-            assert val.denominator == 1
-            gram[i][j] = val.numerator
-    labels = tuple(f"c{i}" for i in range(k))
+    # the induced form B^T G B, one Gram image per basis vector
+    images = [lattice.image(col) for col in basis_cols]
+    gram = [[sum(g * col[j] for j, g in image.items()) for col in basis_cols]
+            for image in images]
+    labels = tuple(f"c{i}" for i in range(len(basis)))
     return IntersectionLattice(tuple(tuple(r) for r in gram), labels), basis
 
 
 def solve_in_basis(
     lattice: IntersectionLattice, basis: Sequence[LatticeVector], target: LatticeVector
 ) -> tuple[Fraction, ...] | None:
-    """Rational coordinates of target over the given vectors, or None."""
-    n = lattice.rank
+    """Rational coordinates of target over the given vectors, or None.
+
+    Column j is scaled to integers by its denominator d_j and the target by
+    d; the integer solution y of the scaled n x (k+1) system, reduced by
+    Gauss-Jordan Bareiss, gives x_j = y_j d_j / d.  Free columns get 0.
+    """
     k = len(basis)
-    # gaussian elimination on the n x (k+1) augmented system
-    aug = [[basis[j].coords[i] for j in range(k)] + [target.coords[i]] for i in range(n)]
-    pivots = []
-    row = 0
-    for col in range(k):
-        p = next((r for r in range(row, n) if aug[r][col] != 0), None)
-        if p is None:
-            continue
-        aug[row], aug[p] = aug[p], aug[row]
-        inv = 1 / aug[row][col]
-        for r in range(n):
-            if r != row and aug[r][col] != 0:
-                f = aug[r][col] * inv
-                for c in range(col, k + 1):
-                    aug[r][c] -= f * aug[row][c]
-        pivots.append((row, col))
-        row += 1
+    scaled = [v.scaled() for v in basis] + [target.scaled()]
+    rows = [{j: ints[i] for j, (ints, _) in enumerate(scaled) if ints[i]}
+            for i in range(lattice.rank)]
+    pivots = bareiss(rows, range(k), jordan=True)
+    used = {r for r, _, _ in pivots}
+    if any(k in row for i, row in enumerate(rows) if i not in used):
+        return None
     sol = [Fraction(0)] * k
-    for r, c in pivots:
-        sol[c] = aug[r][k] / aug[r][c]
-    # consistency
-    for r in range(n):
-        if all(aug[r][c] == 0 for c in range(k)) and aug[r][k] != 0:
-            return None
+    for r, c, _ in pivots:
+        sol[c] = Fraction(rows[r].get(k, 0) * scaled[c][1], rows[r][c] * scaled[k][1])
     return tuple(sol)
 
 

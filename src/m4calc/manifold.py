@@ -20,7 +20,7 @@ from .errors import (
     NonIntegralVector,
     NotCharacteristic,
     OddDimension,
-    UnknownSW,
+    UnknownTorus,
 )
 from .lattice import IntersectionLattice, LatticeVector
 from .swring import SWPolynomial
@@ -162,7 +162,7 @@ class ManifoldModel:
         for key, t in self.marked_tori:
             if key == name:
                 return t
-        raise KeyError(f"no marked torus named {name!r}")
+        raise UnknownTorus(f"no marked torus named {name!r}")
 
     def tori_dict(self) -> dict[str, MarkedTorus]:
         return dict(self.marked_tori)
@@ -179,12 +179,15 @@ class ManifoldModel:
             sw_json: object = {"known": self.sw.to_json()}
         else:
             sw_json = self.sw_status
-        return {
+        out = {
             "homeo": self.homeo.to_json(),
             "lattice": self.lattice.to_json(),
             "sw": sw_json,
             "provenance": self.provenance.to_json(),
         }
+        if self.parity_override is not None:
+            out["parity_override"] = self.parity_override
+        return out
 
 
 def homeomorphic(x: ManifoldModel, y: ManifoldModel) -> bool:
@@ -193,15 +196,20 @@ def homeomorphic(x: ManifoldModel, y: ManifoldModel) -> bool:
 
 
 def _fingerprint(model: ManifoldModel, sign: int):
-    """Isometry-invariant summary of the SW basic-class configuration."""
-    classes = model.sw.basic_classes()
-    L = model.lattice
+    """Isometry-invariant summary of the SW basic-class configuration.
+
+    With d the SW denominator, each class beta is scaled to the integer
+    vector d beta and mapped once to its Gram image; a pairing is then one
+    sparse dot product, divided by d^2."""
+    d = model.sw.denominator
+    unit = 1 if d == 1 else Fraction(1, d * d)
+    classes = [([c.numerator * (d // c.denominator) for c in beta.coords], sign * coef)
+               for beta, coef in model.sw.basic_classes()]
     entries = []
-    for beta, coef in classes:
-        pair_profile = tuple(
-            sorted((L.pairing(beta, other), sign * c2) for other, c2 in classes)
-        )
-        entries.append((sign * coef, L.square(beta), pair_profile))
+    for b, coef in classes:
+        image = model.lattice.image(b).items()
+        profile = sorted((sum(g * o[j] for j, g in image) * unit, c2) for o, c2 in classes)
+        entries.append((coef, sum(g * b[j] for j, g in image) * unit, tuple(profile)))
     return tuple(sorted(entries))
 
 
@@ -393,7 +401,7 @@ def validate(x: ManifoldModel) -> list[str]:
             sq = x.lattice.square(beta)
             if (sq - h.sigma) % 8 != 0:
                 out.append(VAN_DER_BLIJ)
-            d = lat.formal_dimension(x.lattice, beta, h.c)
+            d = (sq - h.c) / Fraction(4)
             if d.denominator != 1:
                 out.append(NON_INTEGRAL_DIMENSION)
             elif d < 0:

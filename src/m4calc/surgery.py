@@ -3,7 +3,7 @@ generator library of seed manifolds.
 
 Every operation returns a fresh ManifoldModel whose (e, sigma, t) is
 recomputed from the transformed lattice; the incremental bookkeeping is
-asserted against the recomputation (double-entry).
+checked against the recomputation (double-entry), raising BookkeepingError.
 """
 
 from __future__ import annotations
@@ -14,7 +14,9 @@ from fractions import Fraction
 
 from . import lattice as lat
 from .errors import (
+    BadArgument,
     BadPlumbing,
+    BookkeepingError,
     DegenerateComplement,
     NotInNodeNeighborhood,
     NotSquareZero,
@@ -24,7 +26,6 @@ from .knots import KnotDescriptor, alexander
 from .lattice import IntersectionLattice, LatticeVector, diagonal_lattice, e8_gram, hyperbolic_gram
 from .manifold import (
     KNOWN,
-    UNDEFINED,
     UNKNOWN,
     ManifoldModel,
     MarkedTorus,
@@ -45,6 +46,11 @@ RATIONAL_BLOWDOWN_C_NOTE = (
 
 _E_PATTERN = re.compile(r"^E\((\d+)\)$")
 _CONNECTED_PATTERN = re.compile(r"^CP2#(\d+)CP2bar$")
+
+
+def _double_entry(ok: bool, op: str) -> None:
+    if not ok:
+        raise BookkeepingError(f"{op}: bookkeeping disagrees with the recomputed (e, sigma, t)")
 
 
 def _odd_square_sum(count: int, total: int) -> list[int] | None:
@@ -198,7 +204,7 @@ def blowup(x: ManifoldModel) -> ManifoldModel:
                                    parents=(x.provenance,)),
         marked_tori=_extend_tori(x, L),
     )
-    assert out.chi_h == x.chi_h and out.c == x.c - 1
+    _double_entry(out.chi_h == x.chi_h and out.c == x.c - 1, "blowup")
     return out
 
 
@@ -208,7 +214,7 @@ def blowup(x: ManifoldModel) -> ManifoldModel:
 
 def log_transform(x: ManifoldModel, torus_name: str, p: int) -> ManifoldModel:
     if p < 1:
-        raise ValueError("multiplicity must be >= 1 (p = 0 leaves the model class)")
+        raise BadArgument("multiplicity must be >= 1 (p = 0 leaves the model class)")
     torus = x.torus(torus_name)
     if not torus.node_neighborhood:
         raise NotInNodeNeighborhood(
@@ -247,7 +253,7 @@ def log_transform(x: ManifoldModel, torus_name: str, p: int) -> ManifoldModel:
         marked_tori=x.tori_dict(),
         parity_override=parity_override,
     )
-    assert out.chi_h == x.chi_h and out.c == x.c
+    _double_entry(out.chi_h == x.chi_h and out.c == x.c, "log_transform")
     return out
 
 
@@ -292,7 +298,7 @@ def knot_surgery(x: ManifoldModel, torus_name: str, knot: KnotDescriptor) -> Man
         marked_tori=x.tori_dict(),
         parity_override=x.parity_override,
     )
-    assert out.homeo.triple() == x.homeo.triple()
+    _double_entry(out.homeo.triple() == x.homeo.triple(), "knot_surgery")
     return out
 
 
@@ -383,10 +389,9 @@ def rational_blowdown(x: ManifoldModel, labels: list[str], p: int) -> ManifoldMo
         ),
         marked_tori=tori,
     )
-    assert out.chi_h == x.chi_h
-    assert out.homeo.e == x.homeo.e - (p - 1)
-    assert out.homeo.sigma == x.homeo.sigma + (p - 1)
-    assert out.c == new_c
+    _double_entry(out.chi_h == x.chi_h and out.homeo.e == x.homeo.e - (p - 1)
+                  and out.homeo.sigma == x.homeo.sigma + (p - 1) and out.c == new_c,
+                  "rational_blowdown")
     return out
 
 
@@ -477,5 +482,5 @@ def fiber_sum(
         )
     L = _bookkeeping_lattice(e_new - 2, sigma_new, t_out)
     out = ManifoldModel.build(L, sw_status=UNKNOWN, provenance=prov)
-    assert out.homeo.e == e_new and out.homeo.sigma == sigma_new
+    _double_entry(out.homeo.e == e_new and out.homeo.sigma == sigma_new, "fiber_sum")
     return out

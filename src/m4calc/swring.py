@@ -184,9 +184,6 @@ class ReducedSWPolynomial:
             raise ValueError("torus coordinate vector must be nonzero")
         object.__setattr__(self, "terms", _normalize_terms(self.terms))
 
-    def _pivot(self) -> int:
-        return next(i for i, x in enumerate(self.torus.coords) if x != 0)
-
     def _check(self, other: "ReducedSWPolynomial"):
         if self.ambient != other.ambient or self.torus != other.torus:
             raise AmbientMismatch("reduced polynomials live over different quotients")

@@ -16,7 +16,7 @@ from m4calc.cli import (
 )
 from m4calc.errors import ScriptError
 from m4calc.manifold import EXOTIC_PAIR
-from m4calc.surgery import seed
+from m4calc.surgery import log_transform, seed
 
 ONE_SEED = '{"steps":[{"op":"seed","args":{"name":"E(2)"},"bind":"x"}]}'
 
@@ -230,3 +230,31 @@ class TestMain:
         back = model_from_json(x.to_json())
         assert back.homeo.triple() == x.homeo.triple()
         assert back.sw.equal(x.sw)
+
+
+class TestLosslessModelsAndDiagnostics:
+    def test_log_transformed_parity_round_trips(self, tmp_path, capsys):
+        x = log_transform(seed("E(2)"), "fiber", 2)
+        data = x.to_json()
+        assert data["parity_override"] == 1
+        back = model_from_json(data)
+        assert back.homeo.triple() == x.homeo.triple() and back.homeo.t == 1
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        a.write_text(json.dumps(data))
+        b.write_text(json.dumps(seed("E(2)").to_json()))
+        assert main(["compare", str(a), str(b)]) == 0
+        assert capsys.readouterr().out.strip() == "NotHomeomorphic"
+
+    @pytest.mark.parametrize("args", [
+        {"p": 0}, {"p": "two"}, {"p": 2, "T": "no_such_torus"},
+    ])
+    def test_bad_log_transform_arguments_exit_1(self, tmp_path, capsys, args):
+        script = {"steps": [
+            {"op": "seed", "args": {"name": "E(2)"}, "bind": "x"},
+            {"op": "log_transform", "args": {"on": "x", "T": "fiber", **args}, "bind": "y"},
+        ]}
+        path = tmp_path / "script.json"
+        path.write_text(json.dumps(script))
+        assert main(["run", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "(step 1)" in err

@@ -1,12 +1,17 @@
 """Surgery operations: blowup, log transform, knot surgery, rational
 blowdown, fiber sum, and the seed library."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import m4calc
 from m4calc.errors import (
     BadPlumbing,
+    BookkeepingError,
     NotInNodeNeighborhood,
     NotSquareZero,
     UnknownSeed,
@@ -390,3 +395,48 @@ class TestFiberSum:
             fiber_sum(x, f, x, f, 1, t_out=0)
         out = fiber_sum(x, f, x, f, 1, t_out=0, spin_glue=True)
         assert out.homeo.t == 0
+
+
+# A build that reports e off by 4: the blowup's incremental bookkeeping
+# (chi_h kept, c down by 1) then disagrees with the returned model.
+WRONG_BUILD = """
+import dataclasses
+from m4calc.manifold import HomeoType, ManifoldModel
+
+
+def wrong_build(build):
+    def wrong(*args, **kwargs):
+        m = build(*args, **kwargs)
+        return dataclasses.replace(m, homeo=HomeoType(m.homeo.e + 4, m.homeo.sigma, m.homeo.t))
+    return staticmethod(wrong)
+"""
+
+
+class TestDoubleEntry:
+    def test_mismatch_raises(self, monkeypatch):
+        x = seed("CP2#1CP2bar")
+        namespace = {}
+        exec(WRONG_BUILD, namespace)
+        monkeypatch.setattr(ManifoldModel, "build",
+                            namespace["wrong_build"](ManifoldModel.build))
+        with pytest.raises(BookkeepingError, match="blowup"):
+            blowup(x)
+
+    def test_mismatch_raises_under_python_O(self):
+        script = WRONG_BUILD + (
+            "import sys\n"
+            "from m4calc.errors import BookkeepingError\n"
+            "from m4calc.surgery import blowup, seed\n"
+            "x = seed('CP2#1CP2bar')\n"
+            "ManifoldModel.build = wrong_build(ManifoldModel.build)\n"
+            "try:\n"
+            "    blowup(x)\n"
+            "except BookkeepingError:\n"
+            "    print('optimize', sys.flags.optimize, 'BookkeepingError')\n"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(m4calc.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                             capture_output=True, text=True, timeout=60)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "optimize 1 BookkeepingError"
